@@ -15,9 +15,10 @@ vet:
 	$(GO) vet ./...
 
 # Concurrency-sensitive packages (the MPI runtime, the fault-tolerant
-# pipeline executor with its chaos tests, the parallel render workers,
-# concurrent point location, and the shared predicate counters/oracle
-# switch in geom) under the race detector.
+# pipeline executor with its chaos tests, the render workers sharing one
+# mesh, concurrent point location and delta updates on shared delaunay
+# meshes, and the shared predicate counters/oracle switch in geom) under
+# the race detector.
 race:
 	$(GO) test -race ./internal/mpi/... ./internal/pipeline/... ./internal/render/... ./internal/delaunay/... ./internal/geom/... ./internal/fieldserve/... ./internal/fault/... ./internal/vtime/...
 
@@ -28,7 +29,7 @@ race:
 # of wedging CI.
 chaos:
 	$(GO) test -race -timeout 180s -run 'Chaos|Fault|Recover|Crash|Straggler|Tolerant|Attribution|Tree' \
-		./internal/mpi/... ./internal/fault/... ./internal/pipeline/... ./internal/render/distrender/... ./internal/delaunay/... \
+		./internal/mpi/... ./internal/fault/... ./internal/pipeline/... ./internal/render/distrender/... \
 		./internal/fieldserve/
 
 # Overload smoke: the resident field service at 2x capacity under the
@@ -66,7 +67,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParticleIO -fuzztime 10s ./internal/particleio/
 	$(GO) test -run '^$$' -fuzz FuzzDelaunayInsert -fuzztime 10s ./internal/delaunay/
 	$(GO) test -run '^$$' -fuzz FuzzDelaunayDelta -fuzztime 10s ./internal/delaunay/
-	$(GO) test -run '^$$' -fuzz FuzzDelaunayParallelStitch -fuzztime 10s ./internal/delaunay/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 10s ./internal/mpi/
 	$(GO) test -run '^$$' -fuzz FuzzPredicatesExact -fuzztime 10s ./internal/geom/
 

@@ -23,9 +23,8 @@ import (
 // preserving vertex permutations), and the pool is rebuilt with finite tets
 // sorted by the Hilbert key of their barycenter (ties by vertex quadruple)
 // followed by infinite tets sorted by vertex triple. Two builds of the same
-// point set — serial Hilbert-order, serial input-order, or the
-// block-parallel builder in parallel.go — then produce deeply equal
-// Triangulations, which is how parallel-vs-serial bit-identity is enforced.
+// point set — Hilbert-order, input-order, or a delta-updated mesh — then
+// produce deeply equal Triangulations.
 // The Hilbert ordering is also the random-catalog locality fix: pool
 // neighbors are spatial neighbors, so the SoA records the render kernel
 // walks (internal/render) stay cache-resident.

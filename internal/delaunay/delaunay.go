@@ -112,8 +112,8 @@ type faceRef struct {
 // Hilbert-curve order for locality (see geom.HilbertOrder) and the tet pool
 // is compacted into canonical Hilbert order afterwards (see compact.go), so
 // the result is a pure function of the point set: any two builds of the
-// same points — whatever the insertion order or block decomposition —
-// produce deeply equal Triangulations. Exact duplicates are merged (see
+// same points, whatever the insertion order, produce deeply equal
+// Triangulations. Exact duplicates are merged (see
 // DuplicateOf). It returns geomerr.ErrDegenerateInput if any point is
 // non-finite or fewer than four affinely independent points exist, and
 // geomerr.ErrMeshCorrupt if a structural invariant breaks during
@@ -140,9 +140,7 @@ func build(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 }
 
 // buildRaw is the serial incremental build without the canonical
-// compaction pass. The block-parallel builder (parallel.go) uses it for
-// per-block and repair triangulations, which are consumed tet-by-tet and
-// never exposed, so compacting them would be wasted work.
+// compaction pass.
 func buildRaw(pts []geom.Vec3, brio bool) (*Triangulation, error) {
 	if len(pts) < 4 {
 		return nil, geomerr.Degenerate("delaunay.New", "need at least 4 points, got %d", len(pts))

@@ -241,10 +241,10 @@ func FuzzDelaunayDelta(f *testing.F) {
 	})
 }
 
-// stitchBoundarySeeds are point sets engineered to land on or straddle the
-// split planes of small block decompositions — the seams the parallel
-// stitcher certifies across. Shared by FuzzDelaunayInsert (serial
-// robustness) and FuzzDelaunayParallelStitch (differential).
+// stitchBoundarySeeds are point sets engineered to land on or straddle
+// dyadic planes of the occupied box: coincident points, cospherical
+// shells and tets spanning a void. Shared by FuzzDelaunayInsert and
+// FuzzDelaunayDelta.
 func stitchBoundarySeeds() [][]geom.Vec3 {
 	var seeds [][]geom.Vec3
 
@@ -282,69 +282,4 @@ func stitchBoundarySeeds() [][]geom.Vec3 {
 	seeds = append(seeds, voids)
 
 	return seeds
-}
-
-// FuzzDelaunayParallelStitch is the differential fuzz target for the
-// block-parallel builder: on any decoded point set, NewWithOptions must
-// either fail exactly like New (same taxonomy) or produce a deeply equal
-// triangulation. The decomposition geometry is varied by deriving the
-// block count from the input length.
-func FuzzDelaunayParallelStitch(f *testing.F) {
-	seed := func(pts []geom.Vec3) {
-		b := make([]byte, 0, 3*len(pts))
-		for _, p := range pts {
-			enc := func(v float64) byte {
-				if math.IsNaN(v) {
-					return 0xff
-				}
-				if math.IsInf(v, 0) {
-					return 0xfe
-				}
-				return byte(v * 16)
-			}
-			b = append(b, enc(p.X), enc(p.Y), enc(p.Z))
-		}
-		f.Add(b)
-	}
-	for _, s := range stitchBoundarySeeds() {
-		seed(s)
-	}
-	var grid []geom.Vec3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			for k := 0; k < 3; k++ {
-				grid = append(grid, geom.Vec3{X: float64(i), Y: float64(j), Z: float64(k)})
-			}
-		}
-	}
-	seed(grid)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pts := decodeFuzzPoints(data, 48)
-		blocks := 2 << (len(data) % 3) // 2, 4, or 8
-		par, perr := NewWithOptions(pts, BuildOptions{Parallelism: 2, Blocks: blocks, MinParallel: -1})
-		ser, serr := New(pts)
-		if (perr == nil) != (serr == nil) {
-			t.Fatalf("parallel err=%v, serial err=%v", perr, serr)
-		}
-		if perr != nil {
-			if !errors.Is(perr, geomerr.ErrDegenerateInput) &&
-				!errors.Is(perr, geomerr.ErrMeshCorrupt) &&
-				!errors.Is(perr, geomerr.ErrLocateDiverged) {
-				t.Fatalf("error outside the taxonomy: %v", perr)
-			}
-			return
-		}
-		if err := par.Validate(); err != nil {
-			t.Fatalf("parallel mesh fails validation: %v", err)
-		}
-		if len(par.tets) != len(ser.tets) {
-			t.Fatalf("tet pool size: parallel %d, serial %d", len(par.tets), len(ser.tets))
-		}
-		for i := range ser.tets {
-			if ser.tets[i] != par.tets[i] {
-				t.Fatalf("tet %d: parallel %+v, serial %+v", i, par.tets[i], ser.tets[i])
-			}
-		}
-	})
 }

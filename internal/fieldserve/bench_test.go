@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"os"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -15,30 +14,13 @@ import (
 // BenchmarkFieldServeColdBuild measures the full cold path: service
 // creation, catalog registration, mesh build, and the first render. The
 // mesh-build share of the wall time is reported separately (build-ns/op,
-// from Stats.BuildNs) so build-parallelism changes are visible even when
-// render time dominates. The /parN variants run a larger catalog with
-// parallel cold builds — large enough that the block pipeline actually
-// engages rather than deferring to the serial threshold.
+// from Stats.BuildNs) so build-time changes are visible even when render
+// time dominates.
 func BenchmarkFieldServeColdBuild(b *testing.B) {
-	benchColdBuild(b, 400, 0)
+	benchColdBuild(b, 400)
 }
 
-// BenchmarkFieldServeColdBuildPar is the cold path with parallel mesh
-// builds on a catalog large enough that the block pipeline engages
-// instead of deferring to the serial size threshold.
-func BenchmarkFieldServeColdBuildPar(b *testing.B) {
-	for _, w := range []int{2, 8} {
-		w := w
-		b.Run("par"+strconv.Itoa(w), func(b *testing.B) {
-			if testing.Short() {
-				b.Skip("large cold build skipped in -short mode")
-			}
-			benchColdBuild(b, 12_000, w)
-		})
-	}
-}
-
-func benchColdBuild(b *testing.B, n, buildPar int) {
+func benchColdBuild(b *testing.B, n int) {
 	b.Helper()
 	pts := testPoints(n, 31)
 	spec := testSpec(16, 1)
@@ -46,7 +28,7 @@ func benchColdBuild(b *testing.B, n, buildPar int) {
 	var buildNs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New(Options{Workers: 1, BuildParallelism: buildPar})
+		s := New(Options{Workers: 1})
 		if err := s.Register("halos", pts); err != nil {
 			b.Fatal(err)
 		}
@@ -98,18 +80,22 @@ func BenchmarkFieldServeShed(b *testing.B) {
 	}
 	hold, release := context.WithCancel(context.Background())
 	defer release()
-	for i := 0; i < 2; i++ {
-		big := testSpec(1024, int64(50+i))
+	wedge := func(seed int64, wedged func(Stats) bool) {
+		big := testSpec(1024, seed)
 		big.Samples = 4
 		go s.Serve(hold, Request{Catalog: "halos", Spec: big}) //nolint:errcheck
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for st := s.Stats(); st.Active < 1 || st.QueueLen < 1; st = s.Stats() {
-		if time.Now().After(deadline) {
-			b.Fatal("could not wedge the service")
+		deadline := time.Now().Add(10 * time.Second)
+		for !wedged(s.Stats()) {
+			if time.Now().After(deadline) {
+				b.Fatal("could not wedge the service")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	// One at a time: until the worker claims the first render, it holds
+	// the only queue slot, and a second one sent alongside it is shed.
+	wedge(50, func(st Stats) bool { return st.Active == 1 })
+	wedge(51, func(st Stats) bool { return st.QueueLen == 1 })
 	req := Request{Catalog: "halos", Spec: testSpec(64, 99)}
 	b.ReportAllocs()
 	b.ResetTimer()

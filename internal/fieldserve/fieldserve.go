@@ -36,11 +36,6 @@ type Options struct {
 	// RenderWorkers is the marching parallelism per render (default 1:
 	// concurrency comes from serving many requests, not one).
 	RenderWorkers int
-	// BuildParallelism is the worker count for cold catalog mesh builds
-	// (delaunay.NewParallel). <= 1 builds serially. Cold builds are the
-	// service's longest unavailability window for a fresh catalog, so
-	// unlike rendering they are worth parallelizing inside one request.
-	BuildParallelism int
 	// Sched is the per-render column schedule.
 	Sched render.Schedule
 
@@ -472,8 +467,7 @@ func (s *Service) viewFor(ctx context.Context, name string) (*meshView, *catalog
 			defer close(cat.built)
 			s.builds.Add(1)
 			start := time.Now()
-			tri, err := delaunay.NewWithOptions(cat.pts,
-				delaunay.BuildOptions{Parallelism: s.opt.BuildParallelism})
+			tri, err := delaunay.New(cat.pts)
 			if err != nil {
 				cat.err = fmt.Errorf("fieldserve: building catalog %q: %w", name, err)
 				return

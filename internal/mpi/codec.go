@@ -99,7 +99,9 @@ func AppendVec3s(buf []byte, v []geom.Vec3) []byte {
 
 // ReadVec3s decodes an AppendVec3s payload from data into *v (gob's
 // reuse/truncate semantics, always copying) and returns the remainder of
-// data.
+// data. *v is the caller's receive buffer: when its capacity suffices the
+// decode writes into its backing array, so it must not alias memory that
+// another goroutine reads or writes.
 func ReadVec3s(data []byte, v *[]geom.Vec3) ([]byte, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {
@@ -141,7 +143,8 @@ func AppendFloat64s(buf []byte, v []float64) []byte {
 }
 
 // ReadFloat64s decodes an AppendFloat64s payload into *v and returns the
-// remainder of data.
+// remainder of data. Like ReadVec3s, it may decode into the backing array
+// of the caller's receive buffer *v.
 func ReadFloat64s(data []byte, v *[]float64) ([]byte, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 {

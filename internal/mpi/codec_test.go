@@ -263,7 +263,13 @@ func TestCodecFastPathsOverWorld(t *testing.T) {
 	}
 	w := NewWorld(3)
 	errs := w.RunEach(func(c *Comm) error {
-		centers := pts[:10:10]
+		// Each rank owns its receive buffer, as separate MPI processes
+		// would: decoding reuses the destination's capacity, so a slice of
+		// pts here would be written while rank 0 reads pts in Send.
+		centers := make([]geom.Vec3, 10)
+		if c.Rank() == 0 {
+			copy(centers, pts)
+		}
 		if err := c.Bcast(0, &centers); err != nil {
 			return err
 		}

@@ -592,7 +592,10 @@ func (c *Comm) Send(dst, tag int, v any) error {
 // Recv blocks until a message with the given source (or AnySource) and tag
 // arrives, decodes it into v (a pointer), and returns the actual source.
 // If the awaited rank exits first (or, for AnySource, any peer fails), it
-// returns an error satisfying errors.Is(err, ErrRankFailed).
+// returns an error satisfying errors.Is(err, ErrRankFailed). The receive
+// buffer is the caller's: decoding may reuse the capacity of the slice v
+// points to, so it must not share a backing array with data another rank
+// reads or writes (separate MPI processes never can).
 func (c *Comm) Recv(src, tag int, v any) (int, error) {
 	if tag < 0 {
 		return 0, fmt.Errorf("mpi: user tags must be >= 0, got %d", tag)
@@ -717,7 +720,8 @@ func (c *Comm) Barrier() error {
 }
 
 // Bcast broadcasts *v from root to all ranks (v must be a pointer; on
-// non-root ranks it is overwritten).
+// non-root ranks it is overwritten). As with Recv, each rank's *v is its
+// own receive buffer and decoding may reuse its capacity.
 func (c *Comm) Bcast(root int, v any) error {
 	tag := c.nextCollTag(tagBcast)
 	if c.rank == root {
